@@ -54,7 +54,7 @@ void PublishCollectiveReport(MetricsRegistry& reg,
   reg.counter("compile.verify_us").Add(report.compile.verify_us);
 
   reg.counter("sim.events").Add(static_cast<double>(report.sim.events));
-  // Queue mechanics (sim/event_queue.h): pops counts every heap pop —
+  // Queue mechanics (sim/event_queue.h): pops counts every queue pop —
   // fired events plus the stale entries lazy invalidation discards — so
   // pops - skipped_stale == sim.events for the run; peak_heap is the
   // high-water mark of resident entries (a gauge: last run, not a sum).

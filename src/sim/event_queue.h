@@ -1,27 +1,31 @@
 // Discrete-event queue with cancellation.
 //
-// The fluid link model reschedules a flow's completion every time the set of
-// flows sharing one of its resources changes — on contended workloads more
-// than a third of all scheduling traffic is reschedules. The queue is tuned
-// for that profile:
+// The simulated collectives are symmetric, so many thread blocks reach the
+// same instant together: a few hundred entries are typically pending over
+// fewer than ten distinct timestamps, and nearly every insertion lands on a
+// timestamp that is already pending. The queue therefore orders
+// *timestamps*, not events:
 //
-//  - The heap orders 24-byte {when, seq, entry} nodes in a 4-ary layout —
-//    shallower than a binary heap and ~2.5 nodes per cache line, so a pop's
-//    sift-down touches a fraction of the lines std::priority_queue moves
-//    when the element carries its callback along. Callbacks live in a
-//    side pool of recycled entries, touched exactly once per pop.
-//  - The heap is *indexed*: each pooled entry tracks its node's heap
-//    position, so rescheduling a slot re-keys its existing node in place
-//    (one sift) instead of pushing a replacement and popping the stale one
-//    later. Cancellation stays lazy — a generation bump — since cancelled
-//    slots are rare next to reschedules; their orphaned nodes are skipped
-//    on pop.
+//  - Each distinct pending timestamp owns a bucket: a FIFO list of entries,
+//    doubly linked through the recycled entry pool. Every push is the
+//    newest insertion, so appending keeps a bucket in insertion order —
+//    events at equal times fire FIFO with no sequence numbers.
+//  - A small indexed min-heap orders the buckets by time; distinct buckets
+//    have distinct times, so it needs no tie-break. A FlatMap64 from the
+//    time's bit pattern to its bucket (plus a one-entry cache of the last
+//    bucket hit) finds the bucket a push joins without touching the heap.
+//  - The fluid link model reschedules a flow's completion every time the
+//    set of flows sharing one of its resources changes. Rescheduling a slot
+//    unlinks its live entry and appends it to the new time's bucket — a
+//    fresh insertion for FIFO purposes — so reschedules leave nothing
+//    stale. Cancellation stays lazy (a generation bump), since cancelled
+//    slots are rare next to reschedules; their orphaned entries are
+//    skipped when they reach the front.
 //  - Callbacks are TrivialInplaceFunction, not std::function: the machine's
 //    [this, transfer, bytes]-style captures exceed libstdc++'s 16-byte SBO
 //    and would heap-allocate per Schedule; inline trivially-copyable
 //    storage makes scheduling allocation-free AND recycles pool entries
-//    without indirect manager calls (the queue moves callbacks ~2x more
-//    often than it fires them).
+//    without indirect manager calls.
 //  - RunBatch() drains every event sharing the front timestamp in one call:
 //    the advance hook (the fluid model's deferred re-rate flush, keyed on
 //    distinct SimTime) is consulted once per distinct timestamp instead of
@@ -34,6 +38,7 @@
 #include "common/check.h"
 #include "common/inplace_function.h"
 #include "common/units.h"
+#include "sim/flat_map.h"
 
 namespace resccl {
 
@@ -45,12 +50,12 @@ class EventQueue {
   using Callback = TrivialInplaceFunction<void(SimTime now), 48>;
 
   // Queue-mechanics accounting over the queue's lifetime (reset by Reset):
-  // heap pops split into fired callbacks and lazily-invalidated entries
-  // dropped (orphans of CancelSlot/FreeSlot — reschedules re-key in place
+  // queue pops split into fired callbacks and lazily-invalidated entries
+  // dropped (orphans of CancelSlot/FreeSlot — reschedules move their entry
   // and leave none), plus the peak number of resident entries. Surfaced as
   // sim.events.{popped,skipped_stale,peak_heap} (docs/observability.md).
   struct Stats {
-    std::uint64_t popped = 0;         // heap pops: fired + stale
+    std::uint64_t popped = 0;         // queue pops: fired + stale
     std::uint64_t skipped_stale = 0;  // entries dropped by lazy invalidation
     std::uint64_t peak_heap = 0;      // max entries resident at once
   };
@@ -61,7 +66,8 @@ class EventQueue {
 
   // Handle-based scheduling for cancellable events. `slot` identifies a
   // logical event source (e.g. a flow); rescheduling a slot supersedes any
-  // previously scheduled entry for it (re-keyed in place on the heap).
+  // previously scheduled entry for it (moved to the back of the new time's
+  // bucket, exactly as if it were pushed afresh).
   //
   // Slots are recycled: NewSlot prefers handles released via FreeSlot over
   // growing the generation table, so long-running simulations that churn
@@ -91,8 +97,9 @@ class EventQueue {
 
   // Returns the queue to its just-constructed state — clock at zero, no
   // events, no slots, counters cleared — while keeping every buffer's
-  // capacity (heap, entry pool, slot tables), so a warmed queue re-runs a
-  // same-shaped program without allocating. The advance hook survives.
+  // capacity (entry and bucket pools, heap, index, slot tables), so a
+  // warmed queue re-runs a same-shaped program without allocating. The
+  // advance hook survives.
   void Reset();
 
   // Installed by a component that defers work within a timestamp (the fluid
@@ -116,57 +123,56 @@ class EventQueue {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  // What the heap orders: two words. `key` packs the push sequence number
-  // (high 32 bits — the FIFO tie-break at equal times) over the entry-pool
-  // index (low 32 bits; never decides an ordering, since sequence numbers
-  // are unique). 16-byte nodes put four per cache line, so a sift-down's
-  // child scan stays within one line. The callback (and the slot
-  // bookkeeping needed only at pop time) lives in the entry pool.
-  struct HeapNode {
-    SimTime when;
-    std::uint64_t key;
-  };
-  static constexpr std::uint64_t MakeKey(std::uint64_t seq,
-                                         std::uint32_t entry) {
-    return (seq << 32) | entry;
-  }
-  static constexpr std::uint32_t KeyEntry(std::uint64_t key) {
-    return static_cast<std::uint32_t>(key);
-  }
-  struct Entry {
-    Slot slot = 0;              // kNoSlot for one-shot events
-    std::uint64_t generation = 0;  // must match slot generation to be live
-    std::uint32_t heap_pos = 0;    // node's index in heap_ while queued
-    Callback cb;
-  };
+  // Index sentinel for the entry and bucket pools (both checked to stay
+  // below it) and for the ends of a bucket's list.
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
   static constexpr Slot kNoSlot = static_cast<Slot>(-1);
 
-  static bool Before(const HeapNode& a, const HeapNode& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.key < b.key;
-  }
-
-  // Sequence numbers share their word with the entry index, capping one
-  // queue lifetime (between Resets) at 2^32 pushes — loud, not silent.
-  std::uint64_t NextSeq() {
-    RESCCL_CHECK_MSG(next_seq_ < (std::uint64_t{1} << 32),
-                     "event sequence space exhausted (2^32 pushes)");
-    return next_seq_++;
-  }
+  // A pooled event; while resident it sits in `bucket`'s FIFO list.
+  struct Entry {
+    Slot slot = 0;                 // kNoSlot for one-shot events
+    std::uint64_t generation = 0;  // must match slot generation to be live
+    std::uint32_t bucket = kNil;   // bucket holding the entry while queued
+    std::uint32_t prev = kNil;     // neighbours in the bucket's FIFO list
+    std::uint32_t next = kNil;
+    Callback cb;
+  };
+  // All resident entries at one distinct timestamp, oldest first.
+  struct Bucket {
+    SimTime when;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t heap_pos = 0;  // index in heap_
+  };
 
   void Push(SimTime when, Slot slot, std::uint64_t generation, Callback cb);
-  void PushNode(HeapNode n);
-  void PopNode();  // removes heap_[0]
-  // Restore heap order for the node at `i` after its key changed; every
-  // node moved has its entry's heap_pos updated.
+  // The bucket for `when`, created (and put on the heap) if none is pending.
+  std::uint32_t BucketFor(SimTime when);
+  // Appends `entry` to the back of `bucket`'s list.
+  void Link(std::uint32_t entry, std::uint32_t bucket);
+  // Removes `entry` from its bucket's list; an emptied bucket is released.
+  void Unlink(std::uint32_t entry);
+  void ReleaseBucket(std::uint32_t bucket);
+  // The front bucket: the earliest pending timestamp.
+  [[nodiscard]] const Bucket& Front() const { return buckets_[heap_[0]]; }
+  // Indexed binary min-heap over bucket times; every bucket moved has its
+  // heap_pos updated.
+  [[nodiscard]] bool Earlier(std::uint32_t a, std::uint32_t b) const {
+    return buckets_[a].when < buckets_[b].when;
+  }
   void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
+  void Place(std::size_t i, std::uint32_t bucket) {
+    heap_[i] = bucket;
+    buckets_[bucket].heap_pos = static_cast<std::uint32_t>(i);
+  }
   // Drops stale entries off the front; counts them as popped + skipped.
   void DropStale();
   // Skip stale + run the advance hook until a live head exists (or the
   // queue is truly drained). Returns whether a live head exists.
   bool PrepareHead();
-  // Fires heap_[0], which must be live; advances the clock to its time.
+  // Fires the front bucket's oldest entry, which must be live; advances
+  // the clock to its time.
   void FireHead();
 
   // All per-slot bookkeeping in one 16-byte record, so a reschedule's
@@ -178,15 +184,20 @@ class EventQueue {
     std::uint8_t parked = 0;     // slot is on the free list
   };
 
-  std::vector<HeapNode> heap_;             // 4-ary min-heap
-  std::vector<Entry> entries_;             // side pool, index-stable
+  std::vector<Entry> entries_;  // pool, index-stable
   std::vector<std::uint32_t> free_entries_;
+  std::vector<Bucket> buckets_;  // pool, index-stable
+  std::vector<std::uint32_t> free_buckets_;
+  std::vector<std::uint32_t> heap_;  // pending buckets, earliest first
+  FlatMap64 bucket_of_;  // time bit pattern -> bucket, pending ones only
+  std::uint64_t last_key_ = FlatMap64::kEmptyKey;  // last bucket looked up
+  std::uint32_t last_bucket_ = kNil;
   std::vector<SlotState> slots_;
   std::vector<Slot> free_slots_;
   AdvanceHook advance_hook_;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t events_fired_ = 0;
-  std::size_t size_ = 0;  // live events only
+  std::size_t size_ = 0;      // live events only
+  std::size_t resident_ = 0;  // queued entries, stale ones included
   SimTime now_ = SimTime::Zero();
   Stats stats_;
 };

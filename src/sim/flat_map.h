@@ -1,4 +1,5 @@
-// Open-addressed uint64 -> uint32 hash table for the bucket-key index.
+// Open-addressed uint64 -> uint32 hash table for the bucket-key index (and
+// the event queue's timestamp -> bucket index).
 //
 // Replaces the per-resource std::unordered_map<uint64_t, uint32_t>: node
 // allocation per insert and a pointer chase per probe made the bucket
@@ -13,7 +14,9 @@
 // `rate` a non-negative finite double, whose exponent bits are never all
 // ones — so the sentinel (a negative NaN's pattern) can never collide with
 // a real key. Key zero (rate 0.0, uncapped) is a legal key, which is why
-// zero cannot be the sentinel. Insertion checks this.
+// zero cannot be the sentinel. The event queue's keys are the bit patterns
+// of non-negative, non-NaN times, so they cannot collide either. Insertion
+// checks this.
 //
 // Iteration order is never exposed: the fluid model's deterministic flush
 // walks the dense bucket vector, not this index, so probe-order artifacts

@@ -184,8 +184,9 @@ struct SimRunReport {
   // Both are fully deterministic for a given (program, faults) pair.
   std::uint64_t events = 0;
   FluidNetwork::Stats fluid;
-  // Queue mechanics (heap pops, stale entries skipped, peak heap size) —
-  // deterministic as well; surfaced as sim.events.* in the obs registry.
+  // Queue mechanics (queue pops, stale entries skipped, peak queued
+  // entries) — deterministic as well; surfaced as sim.events.* in the obs
+  // registry.
   EventQueue::Stats queue;
 
   // Per-TB idle fraction: sync / finish (§5.4's "idle ratio").
