@@ -15,7 +15,7 @@
 //      fluid.h — so agreement is fp-tight, not bit-exact; measured
 //      divergence is ~1e-14) and that the incremental walk issues >= 3x
 //      fewer RecomputeFlow calls on the co-run and >= 2x solo.
-//   2. Event-loop throughput — repeated Executes of the same plan;
+//   2. Event-loop throughput — repeated simulations of one lowered program;
 //      events/sec is the headline regression metric.
 //   3. Registry overhead — interleaved Executes with the global metrics
 //      registry disabled and enabled. Asserts the event counts are
@@ -47,7 +47,6 @@
 #include "algorithms/synthesized.h"
 #include "bench/bench_util.h"
 #include "obs/metrics.h"
-#include "runtime/exec_context.h"
 #include "runtime/lowering.h"
 #include "runtime/multi_job.h"
 #include "sim/machine.h"
@@ -129,23 +128,27 @@ RerateMetrics RerateWorkload() {
   const PreparedPlan plan = PrepareOrDie(algo, topo, BackendKind::kResCCL);
 
   RerateMetrics m;
+  LaunchConfig launch;
+  launch.buffer = Size::MiB(64);
+  const LoweredProgram lowered = Lower(plan->plan, cost, launch);
+  auto run = [&](const SimProgram& program, bool naive_rerate) {
+    SimMachine machine(topo, cost, naive_rerate);
+    return machine.Run(program);
+  };
 
   // Solo run: the collective alone on the cluster.
-  RunRequest request;
-  request.launch.buffer = Size::MiB(64);
-  const CollectiveReport incr = Execute(*plan, request);
-  request.naive_rerate = true;
-  const CollectiveReport naive = Execute(*plan, request);
+  const SimRunReport incr = run(lowered.program, false);
+  const SimRunReport naive = run(lowered.program, true);
 
-  m.timing_relerr = RelErr(incr.elapsed.us(), naive.elapsed.us());
+  m.timing_relerr = RelErr(incr.makespan.us(), naive.makespan.us());
   Check(m.timing_relerr <= kTimingTolerance,
         "incremental and naive re-rate walks must agree on the solo "
         "makespan to 1e-9 relative tolerance");
-  Check(incr.sim.fluid.flows_started == naive.sim.fluid.flows_started,
+  Check(incr.fluid.flows_started == naive.fluid.flows_started,
         "both walks must start the same flows");
-  Check(incr.sim.fluid.flows_started > 0, "workload must start flows");
-  m.reduction_solo = static_cast<double>(naive.sim.fluid.recompute_calls) /
-                     static_cast<double>(incr.sim.fluid.recompute_calls);
+  Check(incr.fluid.flows_started > 0, "workload must start flows");
+  m.reduction_solo = static_cast<double>(naive.fluid.recompute_calls) /
+                     static_cast<double>(incr.fluid.recompute_calls);
   Check(m.reduction_solo >= 2.0,
         "incremental walk must issue >= 2x fewer RecomputeFlow calls solo");
 
@@ -153,19 +156,12 @@ RerateMetrics RerateWorkload() {
   // (runtime/multi_job.h's AppendProgram), contending for the same links —
   // the busy-resource regime §4.4 targets. Here dirty resources touch many
   // flows at once and the binding test pays off hardest.
-  LaunchConfig launch;
-  launch.buffer = Size::MiB(64);
-  const LoweredProgram lowered = Lower(plan->plan, cost, launch);
   SimProgram merged;
   constexpr int kCoJobs = 4;
   for (int j = 0; j < kCoJobs; ++j) AppendProgram(merged, lowered.program);
 
-  auto co_run = [&](bool naive_rerate) {
-    SimMachine machine(topo, cost, naive_rerate);
-    return machine.Run(merged);
-  };
-  const SimRunReport co_incr = co_run(false);
-  const SimRunReport co_naive = co_run(true);
+  const SimRunReport co_incr = run(merged, false);
+  const SimRunReport co_naive = run(merged, true);
 
   const double co_relerr = RelErr(co_incr.makespan.us(), co_naive.makespan.us());
   m.timing_relerr = std::max(m.timing_relerr, co_relerr);
@@ -207,14 +203,18 @@ struct ThroughputMetrics {
 
 ThroughputMetrics ThroughputWorkload(bool naive_only) {
   const Topology topo(presets::A100(2, 8));
+  const CostModel cost;
   const Algorithm algo = algorithms::HierarchicalMeshAllReduce(topo);
   const PreparedPlan plan = PrepareOrDie(algo, topo, BackendKind::kResCCL);
+  LaunchConfig launch;
+  launch.buffer = Size::MiB(64);
+  const LoweredProgram lowered = Lower(plan->plan, cost, launch);
 
-  // Steady-state replay through one ExecContext: the lowered program,
-  // machine, and report are reused across reps — the regime the headline
-  // events/sec metric is meant to pin (an untimed warm-up run takes the
-  // one-time builds).
-  ExecContext ctx;
+  // Steady-state replay of the lowered program through one SimMachine per
+  // walk: its queue, fluid network and report are reused across reps — the
+  // regime the headline events/sec metric is meant to pin (an untimed
+  // warm-up run takes the one-time builds). The timing covers the
+  // simulation alone, not Execute's report assembly.
   constexpr int kReps = 24;
   // Each rep is timed on its own and the *fastest* rep is the metric: every
   // rep does identical deterministic work, so the minimum is the run least
@@ -222,15 +222,15 @@ ThroughputMetrics ThroughputWorkload(bool naive_only) {
   // converges where a mean would wander ±20% on a shared box. wall_us
   // reports min-rep time scaled to kReps for comparability.
   auto measure = [&](bool naive, std::uint64_t& events_out) {
-    RunRequest request;
-    request.launch.buffer = Size::MiB(64);
-    request.naive_rerate = naive;
+    SimMachine machine(topo, cost, naive);
+    SimRunReport report;
     std::uint64_t events = 0;
-    (void)ctx.Execute(plan, request);  // warm-up: build machine + lowering
+    machine.RunInto(lowered.program, nullptr, report);  // warm-up
     double best_us = 0;
     for (int i = 0; i < kReps; ++i) {
       const double t0 = NowUs();
-      events += ctx.Execute(plan, request).sim.events;
+      machine.RunInto(lowered.program, nullptr, report);
+      events += report.events;
       const double rep_us = NowUs() - t0;
       if (best_us == 0 || rep_us < best_us) best_us = rep_us;
     }

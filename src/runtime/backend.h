@@ -66,13 +66,6 @@ struct RunRequest {
   // Faults never enter the compile fingerprint, so cached prepared plans
   // are reused across fault scenarios.
   FaultPlan faults;
-  // Run the fluid model's reference (naive) re-rate walk instead of the
-  // incremental one. Equal timing to relative fp tolerance (the deferred
-  // incremental flush reassociates floating-point integration sums, see
-  // fluid.h), asymptotically slower; the perf harness
-  // (bench/micro_sim --naive-rerate) uses it as the baseline its speedup
-  // assertions compare against. Within one mode, runs stay bit-identical.
-  bool naive_rerate = false;
   // Record observability extras for this run: the per-resource rate log
   // (SimRunReport::link_rates, feeding obs/timeline.h) and the lowered
   // program in the report (CollectiveReport::lowered, feeding

@@ -11,7 +11,7 @@
 //                     in place (LowerInto) only when the key changes.
 //   SimMachine        reused across calls (its queue and fluid network Reset
 //                     instead of reconstructing); rebuilt only when the
-//                     topology or the re-rate mode changes.
+//                     topology changes.
 //   CollectiveReport  a member whose vectors keep their capacity; every
 //                     field is reassigned per run.
 //
@@ -75,7 +75,6 @@ class ExecContext {
   CostModel cost_;
   std::optional<SimMachine> machine_;
   const Topology* machine_topo_ = nullptr;
-  bool machine_naive_ = false;
 
   // Faulted-replay scratch (clean rerun + per-rank aggregation).
   SimRunReport clean_sim_;

@@ -3,21 +3,44 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
-#include "algorithms/composition.h"
-#include "algorithms/hierarchical.h"
-#include "algorithms/recursive.h"
-#include "algorithms/ring.h"
-#include "algorithms/rooted.h"
-#include "algorithms/tree.h"
+#include "algorithms/catalog.h"
+#include "common/check.h"
 #include "common/thread_pool.h"
 
 namespace resccl {
 
 namespace {
 
-bool IsPowerOfTwo(int n) { return n > 0 && (n & (n - 1)) == 0; }
+// The catalog rows (algorithms/catalog.h) the selector scores per op, in
+// scoring order: the flat library shapes, then the N-level compositions.
+struct CandidateNames {
+  std::vector<std::string_view> flat;
+  std::vector<std::string_view> composed;
+};
+
+CandidateNames CandidatesFor(CollectiveOp op) {
+  switch (op) {
+    case CollectiveOp::kAllGather:
+      return {{"hm_allgather", "mc_ring_allgather", "oneshot_allgather",
+               "rd_allgather"},
+              {"hc_allgather"}};
+    case CollectiveOp::kReduceScatter:
+      return {{"hm_reducescatter", "mc_ring_reducescatter"},
+              {"hc_reducescatter"}};
+    case CollectiveOp::kAllReduce:
+      return {{"hm_allreduce", "mc_ring_allreduce", "tree_allreduce",
+               "rhd_allreduce"},
+              {"hc_allreduce", "hc_allreduce_coarse"}};
+    case CollectiveOp::kBroadcast:
+      return {{"chain_broadcast", "binomial_broadcast"}, {}};
+    case CollectiveOp::kReduce:
+      return {{"chain_reduce", "binomial_reduce"}, {}};
+  }
+  return {};
+}
 
 struct PreparedCandidate {
   PreparedPlan plan;
@@ -131,57 +154,20 @@ SelectionResult SelectAtSize(const std::vector<PreparedCandidate>& prepared,
 
 std::vector<Algorithm> CandidateAlgorithms(CollectiveOp op,
                                            const Topology& topo) {
-  const int n = topo.nranks();
-  // One ring channel per driven rail (Topology::CommChannels) — the shared
-  // rail-aware helper; see also DefaultAlgorithm in runtime/communicator.cc.
-  const int channels = topo.CommChannels();
+  const CandidateNames names = CandidatesFor(op);
   std::vector<Algorithm> out;
+  auto add = [&](std::string_view name) {
+    const algorithms::CatalogEntry* row = algorithms::FindAlgorithm(name);
+    RESCCL_CHECK_MSG(row != nullptr && row->op == op,
+                     "selector candidate missing from the catalog");
+    if (row->applies(topo)) out.push_back(row->make(topo));
+  };
+  for (const std::string_view name : names.flat) add(name);
   // The N-level rail-aligned composition joins the candidate set once the
   // fabric has real hierarchy beyond one rack; on flat testbeds it would
   // collapse to the HM shapes already present.
-  const bool composed =
-      topo.racks() > 1 && algorithms::ComposableTopology(topo);
-  switch (op) {
-    case CollectiveOp::kAllGather:
-      out.push_back(algorithms::HierarchicalMeshAllGather(topo));
-      out.push_back(algorithms::MultiChannelRingAllGather(topo, channels));
-      out.push_back(algorithms::OneShotAllGather(n));
-      if (IsPowerOfTwo(n)) {
-        out.push_back(algorithms::RecursiveDoublingAllGather(n));
-      }
-      if (composed) out.push_back(algorithms::ComposedAllGather(topo));
-      break;
-    case CollectiveOp::kReduceScatter:
-      out.push_back(algorithms::HierarchicalMeshReduceScatter(topo));
-      out.push_back(algorithms::MultiChannelRingReduceScatter(topo, channels));
-      if (composed) out.push_back(algorithms::ComposedReduceScatter(topo));
-      break;
-    case CollectiveOp::kAllReduce:
-      out.push_back(algorithms::HierarchicalMeshAllReduce(topo));
-      out.push_back(algorithms::MultiChannelRingAllReduce(topo, channels));
-      out.push_back(algorithms::DoubleBinaryTreeAllReduce(n));
-      if (IsPowerOfTwo(n)) {
-        out.push_back(algorithms::RecursiveHalvingDoublingAllReduce(n));
-      }
-      if (composed) {
-        out.push_back(algorithms::ComposedAllReduce(topo));
-        // Coarse-chunk variant: one chunk class per local GPU instead of
-        // one per rank. Fewer, larger flows keep fan-in low on
-        // oversubscribed trunks, which is where the composition earns its
-        // keep; the sweep picks whichever granularity the fabric favors.
-        algorithms::CompositionSpec coarse;
-        coarse.chunks = topo.gpus_per_node();
-        out.push_back(algorithms::ComposedAllReduce(topo, coarse));
-      }
-      break;
-    case CollectiveOp::kBroadcast:
-      out.push_back(algorithms::ChainBroadcast(n));
-      out.push_back(algorithms::BinomialTreeBroadcast(n));
-      break;
-    case CollectiveOp::kReduce:
-      out.push_back(algorithms::ChainReduce(n));
-      out.push_back(algorithms::BinomialTreeReduce(n));
-      break;
+  if (topo.racks() > 1) {
+    for (const std::string_view name : names.composed) add(name);
   }
   return out;
 }

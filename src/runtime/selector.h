@@ -56,8 +56,8 @@ struct SelectionResult {
   BoundReport bound;  // static lower bound for the winner's launch
 };
 
-// Candidate algorithms from the library for `op` on `topo` (power-of-two
-// only entries are skipped when they do not apply).
+// Candidate algorithms for `op` on `topo`: the selector's per-op list of
+// algorithm catalog rows (algorithms/catalog.h) that apply to `topo`.
 [[nodiscard]] std::vector<Algorithm> CandidateAlgorithms(CollectiveOp op,
                                                          const Topology& topo);
 

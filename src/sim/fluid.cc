@@ -20,9 +20,6 @@ void FluidNetwork::FlowSoA::PushDefault() {
   visit_stamp.push_back(0);
   active.push_back(0);
   on_complete.emplace_back();
-#if defined(RESCCL_FLUID_ORACLE)
-  oracle.emplace_back();
-#endif
 }
 
 void FluidNetwork::FlowSoA::Clear() {
@@ -36,9 +33,6 @@ void FluidNetwork::FlowSoA::Clear() {
   visit_stamp.clear();
   active.clear();
   on_complete.clear();
-#if defined(RESCCL_FLUID_ORACLE)
-  oracle.clear();
-#endif
 }
 
 FluidNetwork::FluidNetwork(const Topology& topo, const CostModel& cost,
@@ -127,11 +121,6 @@ FlowId FluidNetwork::StartFlow(const Path& path, std::int64_t bytes,
   flows_.on_complete[index] = std::move(on_complete);
   flows_.active[index] = 1;
   ++stats_.flows_started;
-#if defined(RESCCL_FLUID_ORACLE)
-  flows_.oracle[index].resources.assign(path.resources.begin(),
-                                        path.resources.end());
-  flows_.oracle[index].bucket_refs.clear();
-#endif
 
   const std::span<const ResourceId> res = PathOf(index);
   UpdateResourceCounts(res, +1, now);
@@ -201,10 +190,6 @@ double FluidNetwork::CurrentRate(FlowIndex index, SimTime now) const {
     const int z = resource_active_[static_cast<std::size_t>(r.value)];
     rate = std::min(rate, ResourceShare(r, z, now));
   }
-#if defined(RESCCL_FLUID_ORACLE)
-  RESCCL_CHECK_MSG(rate == OracleRate(index, now),
-                   "SoA rate walk diverged from the pre-SoA oracle");
-#endif
   return rate;
 }
 
@@ -320,15 +305,9 @@ void FluidNetwork::InsertIntoBuckets(FlowIndex index) {
     refs[k] = {slot, static_cast<std::uint32_t>(b.flows.size())};
     b.flows.push_back(index);
   }
-#if defined(RESCCL_FLUID_ORACLE)
-  flows_.oracle[index].bucket_refs.assign(refs.begin(), refs.end());
-#endif
 }
 
 void FluidNetwork::RemoveFromBuckets(FlowIndex index) {
-#if defined(RESCCL_FLUID_ORACLE)
-  OracleCheckRefs(index);
-#endif
   const PathSpanArena::Span sp = flows_.span[index];
   const std::span<const ResourceId> res = arena_.resources(sp);
   const std::span<const BucketRef> refs =
@@ -350,9 +329,6 @@ void FluidNetwork::RemoveFromBuckets(FlowIndex index) {
       for (std::size_t k2 = 0; k2 < mres.size(); ++k2) {
         if (mres[k2] == res[k]) {
           mrefs[k2].pos = pos;
-#if defined(RESCCL_FLUID_ORACLE)
-          flows_.oracle[moved].bucket_refs[k2].pos = pos;
-#endif
           break;
         }
       }
@@ -362,9 +338,6 @@ void FluidNetwork::RemoveFromBuckets(FlowIndex index) {
       rb.free.push_back(refs[k].bucket);
     }
   }
-#if defined(RESCCL_FLUID_ORACLE)
-  flows_.oracle[index].bucket_refs.clear();
-#endif
 }
 
 void FluidNetwork::BumpBucketReseq(FlowIndex index) {
@@ -648,36 +621,5 @@ void FluidNetwork::DebugValidate() const {
   RESCCL_CHECK_MSG(arena_.live_spans() == live,
                    "arena live-span count out of sync with active flows");
 }
-
-#if defined(RESCCL_FLUID_ORACLE)
-double FluidNetwork::OracleRate(FlowIndex index, SimTime now) const {
-  const FlowSoA::OracleFlow& of = flows_.oracle[index];
-  double rate = flows_.cap[index];
-  for (ResourceId r : of.resources) {
-    const int z = resource_active_[static_cast<std::size_t>(r.value)];
-    rate = std::min(rate, ResourceShare(r, z, now));
-  }
-  return rate;
-}
-
-void FluidNetwork::OracleCheckRefs(FlowIndex index) const {
-  const PathSpanArena::Span sp = flows_.span[index];
-  const std::span<const ResourceId> res = arena_.resources(sp);
-  const std::span<const BucketRef> refs = arena_.bucket_refs(sp);
-  const FlowSoA::OracleFlow& of = flows_.oracle[index];
-  RESCCL_CHECK_MSG(of.resources.size() == res.size(),
-                   "oracle path mirror diverged in length");
-  for (std::size_t k = 0; k < res.size(); ++k) {
-    RESCCL_CHECK_MSG(of.resources[k] == res[k],
-                     "oracle path mirror diverged in contents");
-  }
-  RESCCL_CHECK(of.bucket_refs.size() == res.size());
-  for (std::size_t k = 0; k < res.size(); ++k) {
-    RESCCL_CHECK_MSG(of.bucket_refs[k].bucket == refs[k].bucket &&
-                         of.bucket_refs[k].pos == refs[k].pos,
-                     "oracle bucket-ref mirror diverged");
-  }
-}
-#endif
 
 }  // namespace resccl

@@ -54,10 +54,9 @@
 // {begin, len} spans instead of per-flow heap vectors; the per-resource
 // bucket-key index is an open-addressed flat table (sim/flat_map.h); the
 // hot scalars (rate, remaining, last_update, span) are parallel arrays the
-// flush walks contiguously. With RESCCL_FLUID_ORACLE defined, every flow
-// additionally keeps the pre-SoA per-flow vectors as a mirror and the rate
-// walk cross-checks the two layouts bit-exactly — the build-time oracle
-// the arena property test runs under.
+// flush walks contiguously. DebugValidate checks the arena, bucket
+// back-references, per-bucket rates and live counts against each other;
+// the arena property test calls it mid-run.
 //
 // With a FaultPlan attached, capacity(r) additionally carries the plan's
 // time-varying degradation scale; flows crossing a fault-window boundary are
@@ -92,12 +91,6 @@ class FluidNetwork {
   // must never heap-allocate on the StartFlow path. Trivially-copyable so
   // recycling a completed flow's entry is a byte copy, not a manager call.
   using CompletionFn = TrivialInplaceFunction<void(SimTime now), 48>;
-
-#if defined(RESCCL_FLUID_ORACLE)
-  static constexpr bool kOracleEnabled = true;
-#else
-  static constexpr bool kOracleEnabled = false;
-#endif
 
   // Re-rate accounting, monotonic over the network's lifetime. The perf
   // harness (bench/micro_sim) asserts the incremental walk's
@@ -228,15 +221,6 @@ class FluidNetwork {
     std::vector<std::uint64_t> visit_stamp;  // epoch of last flush visit
     std::vector<std::uint8_t> active;
     std::vector<CompletionFn> on_complete;
-#if defined(RESCCL_FLUID_ORACLE)
-    // Pre-SoA mirror: the per-flow heap vectors the arena replaced. The
-    // oracle build maintains them in lockstep and cross-checks every walk.
-    struct OracleFlow {
-      std::vector<ResourceId> resources;
-      std::vector<BucketRef> bucket_refs;
-    };
-    std::vector<OracleFlow> oracle;
-#endif
 
     [[nodiscard]] std::size_t size() const { return rate.size(); }
     void PushDefault();
@@ -294,12 +278,6 @@ class FluidNetwork {
   [[nodiscard]] double CurrentRate(FlowIndex index, SimTime now) const;
   [[nodiscard]] SimTime NextFaultTransition(FlowIndex index,
                                             SimTime now) const;
-#if defined(RESCCL_FLUID_ORACLE)
-  // Rate recomputed over the pre-SoA mirror's own vectors; the SoA walk
-  // must match it bit-exactly (checked at every CurrentRate call).
-  [[nodiscard]] double OracleRate(FlowIndex index, SimTime now) const;
-  void OracleCheckRefs(FlowIndex index) const;
-#endif
 
   const Topology& topo_;
   const CostModel& cost_;

@@ -200,7 +200,8 @@ class SimMachine {
  public:
   // `naive_rerate` selects the fluid model's reference re-rate walk
   // (fluid.h) — equal timing to relative fp tolerance but asymptotically
-  // slower; it exists as the perf harness baseline.
+  // slower; it exists as the oracle and baseline for tests and benches,
+  // which construct a machine directly to reach it.
   SimMachine(const Topology& topo, const CostModel& cost,
              bool naive_rerate = false);
   ~SimMachine();  // out-of-line: members hold nested types private to the .cc

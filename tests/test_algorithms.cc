@@ -1,14 +1,23 @@
 // Structural tests for the algorithm library: transfer counts, phase
-// boundaries, duality assembly, multi-channel NIC striping.
+// boundaries, duality assembly, multi-channel NIC striping, and the
+// algorithm catalog's coverage of every algorithm the library builds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "algorithms/assembly.h"
+#include "algorithms/catalog.h"
 #include "algorithms/hierarchical.h"
 #include "algorithms/ring.h"
 #include "algorithms/synthesized.h"
 #include "algorithms/tree.h"
+#include "runtime/communicator.h"
+#include "runtime/selector.h"
+#include "service/workload.h"
 #include "topology/topology.h"
 
 namespace resccl::algorithms {
@@ -217,6 +226,95 @@ TEST(MultiChannelRingTest, OneChannelEqualsPlainRingShape) {
   const Algorithm mc = MultiChannelRingAllGather(topo, 1);
   const Algorithm plain = RingAllGather(8);
   EXPECT_EQ(mc.transfers.size(), plain.transfers.size());
+}
+
+// The paper testbed shape, a rank count that is not a power of two, a
+// multi-rack rail-aligned Clos (where the selector adds compositions), and
+// a fabric whose GPUs drive fewer rails than it has NICs, so
+// CommChannels() != nics_per_node.
+std::vector<TopologySpec> CatalogTopologies() {
+  TopologySpec shared_rails = presets::A100(2, 4);
+  shared_rails.rail_of_gpu = {0, 0, 1, 1};
+  shared_rails.name += "-2rails";
+  return {presets::A100(2, 4), presets::A100(3, 4),
+          presets::RailClos(8, 4, 2, 4), shared_rails};
+}
+
+bool SameAlgorithm(const Algorithm& a, const Algorithm& b) {
+  return a.name == b.name && a.collective == b.collective &&
+         a.nranks == b.nranks && a.nchunks == b.nchunks && a.root == b.root &&
+         a.transfers == b.transfers;
+}
+
+TEST(CatalogTest, NamesAreUniqueAndFindable) {
+  std::set<std::string_view> names;
+  for (const CatalogEntry& row : Catalog()) {
+    EXPECT_TRUE(names.insert(row.name).second) << "duplicate " << row.name;
+    EXPECT_EQ(FindAlgorithm(row.name), &row);
+  }
+  EXPECT_EQ(FindAlgorithm("not_an_algorithm"), nullptr);
+}
+
+TEST(CatalogTest, ApplicableRowsBuildValidAlgorithmsOfTheirOp) {
+  for (const TopologySpec& spec : CatalogTopologies()) {
+    const Topology topo(spec);
+    for (const CatalogEntry& row : Catalog()) {
+      if (!row.applies(topo)) continue;
+      SCOPED_TRACE(std::string(row.name) + " on " + spec.name);
+      const Algorithm algo = row.make(topo);
+      EXPECT_EQ(algo.collective, row.op);
+      EXPECT_EQ(algo.nranks, topo.nranks());
+      EXPECT_TRUE(algo.Validate().ok()) << algo.Validate().ToString();
+    }
+  }
+}
+
+// Every algorithm the library's own callers build — the selector's
+// candidates, the communicator's per-backend defaults and the service
+// workload's shapes — equals some applicable catalog row, transfer for
+// transfer.
+TEST(CatalogTest, LibraryCallersBuildOnlyCatalogAlgorithms) {
+  for (const TopologySpec& spec : CatalogTopologies()) {
+    const Topology topo(spec);
+    std::vector<Algorithm> rows;
+    for (const CatalogEntry& row : Catalog()) {
+      if (row.applies(topo)) rows.push_back(row.make(topo));
+    }
+    const auto expect_row = [&](const Algorithm& algo, const char* caller) {
+      EXPECT_TRUE(std::any_of(rows.begin(), rows.end(),
+                              [&](const Algorithm& row) {
+                                return SameAlgorithm(row, algo);
+                              }))
+          << caller << " built " << algo.name << " on " << spec.name
+          << ", which no catalog row matches";
+    };
+    for (const CollectiveOp op :
+         {CollectiveOp::kAllGather, CollectiveOp::kReduceScatter,
+          CollectiveOp::kAllReduce, CollectiveOp::kBroadcast,
+          CollectiveOp::kReduce}) {
+      const std::vector<Algorithm> candidates = CandidateAlgorithms(op, topo);
+      EXPECT_FALSE(candidates.empty());
+      for (const Algorithm& algo : candidates) {
+        expect_row(algo, "CandidateAlgorithms");
+      }
+      for (const BackendKind kind :
+           {BackendKind::kResCCL, BackendKind::kMscclLike,
+            BackendKind::kNcclLike}) {
+        expect_row(DefaultAlgorithm(kind, op, topo), "DefaultAlgorithm");
+      }
+    }
+    service::WorkloadSpec workload;
+    workload.requests = 256;
+    workload.distinct_shapes = 4;
+    std::set<std::string> shapes;
+    for (const service::Arrival& a :
+         service::GenerateWorkload(topo, workload)) {
+      if (shapes.insert(a.req.algorithm.name).second) {
+        expect_row(a.req.algorithm, "GenerateWorkload");
+      }
+    }
+    EXPECT_EQ(shapes.size(), 4u);
+  }
 }
 
 }  // namespace

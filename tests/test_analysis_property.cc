@@ -10,15 +10,14 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
+#include "algorithms/catalog.h"
 #include "algorithms/composition.h"
 #include "algorithms/hierarchical.h"
-#include "algorithms/recursive.h"
 #include "algorithms/ring.h"
-#include "algorithms/synthesized.h"
-#include "algorithms/tree.h"
 #include "analysis/analyzer.h"
 #include "runtime/backend.h"
 #include "runtime/lowering.h"
@@ -28,65 +27,8 @@
 namespace resccl {
 namespace {
 
-using AlgorithmFactory = Algorithm (*)(const Topology&);
-
-Algorithm MakeRingAg(const Topology& t) {
-  return algorithms::RingAllGather(t.nranks());
-}
-Algorithm MakeRingRs(const Topology& t) {
-  return algorithms::RingReduceScatter(t.nranks());
-}
-Algorithm MakeRingAr(const Topology& t) {
-  return algorithms::RingAllReduce(t.nranks());
-}
-Algorithm MakeTreeAr(const Topology& t) {
-  return algorithms::DoubleBinaryTreeAllReduce(t.nranks());
-}
-Algorithm MakeRhdAr(const Topology& t) {
-  return algorithms::RecursiveHalvingDoublingAllReduce(t.nranks());
-}
-Algorithm MakeRdAg(const Topology& t) {
-  return algorithms::RecursiveDoublingAllGather(t.nranks());
-}
-Algorithm MakeOneShotAg(const Topology& t) {
-  return algorithms::OneShotAllGather(t.nranks());
-}
-Algorithm MakeMcRingAg(const Topology& t) {
-  return algorithms::MultiChannelRingAllGather(t, t.spec().nics_per_node);
-}
-Algorithm MakeMcRingRs(const Topology& t) {
-  return algorithms::MultiChannelRingReduceScatter(t, t.spec().nics_per_node);
-}
-Algorithm MakeMcRingAr(const Topology& t) {
-  return algorithms::MultiChannelRingAllReduce(t, t.spec().nics_per_node);
-}
-
-struct AnalysisCase {
-  std::string label;
-  AlgorithmFactory make;
-};
-
-std::vector<AnalysisCase> AlgorithmCases() {
-  return {
-      {"ring_ag", MakeRingAg},
-      {"ring_rs", MakeRingRs},
-      {"ring_ar", MakeRingAr},
-      {"mc_ring_ag", MakeMcRingAg},
-      {"mc_ring_rs", MakeMcRingRs},
-      {"mc_ring_ar", MakeMcRingAr},
-      {"tree_ar", MakeTreeAr},
-      {"rhd_ar", MakeRhdAr},
-      {"rd_ag", MakeRdAg},
-      {"oneshot_ag", MakeOneShotAg},
-      {"hm_ag", algorithms::HierarchicalMeshAllGather},
-      {"hm_rs", algorithms::HierarchicalMeshReduceScatter},
-      {"hm_ar", algorithms::HierarchicalMeshAllReduce},
-      {"taccl_ag", algorithms::TacclLikeAllGather},
-      {"taccl_ar", algorithms::TacclLikeAllReduce},
-      {"teccl_ag", algorithms::TecclLikeAllGather},
-      {"teccl_ar", algorithms::TecclLikeAllReduce},
-  };
-}
+using algorithms::Catalog;
+using algorithms::CatalogEntry;
 
 bool HasRule(const AnalysisReport& report, const char* rule) {
   return std::any_of(report.diagnostics.begin(), report.diagnostics.end(),
@@ -102,16 +44,16 @@ std::string RulesOf(const AnalysisReport& report) {
 }
 
 class AnalyzerSoundness
-    : public ::testing::TestWithParam<std::tuple<AnalysisCase, BackendKind>> {
+    : public ::testing::TestWithParam<std::tuple<CatalogEntry, BackendKind>> {
 };
 
-// Certified-clean plans complete: 17 algorithms x 3 backends. The analyzer
-// must pass every library plan with the tb-merge rule armed, and the
+// Certified-clean plans complete: catalog x 3 backends. The analyzer must
+// pass every library plan with the tb-merge rule armed, and the
 // certificate must be backed by an actual terminating simulation.
 TEST_P(AnalyzerSoundness, CleanPlansComplete) {
-  const auto& [algo_case, backend] = GetParam();
+  const auto& [entry, backend] = GetParam();
   const Topology topo(presets::A100(2, 4));
-  const Algorithm algo = algo_case.make(topo);
+  const Algorithm algo = entry.make(topo);
   const PreparedPlan prepared = Prepare(algo, topo, backend).value();
 
   const AnalysisReport report = AnalyzePlan(prepared->plan, &topo);
@@ -128,9 +70,9 @@ TEST_P(AnalyzerSoundness, CleanPlansComplete) {
 
 // Strict-mode Prepare accepts the same plans and accounts its time.
 TEST_P(AnalyzerSoundness, StrictPrepareAccepts) {
-  const auto& [algo_case, backend] = GetParam();
+  const auto& [entry, backend] = GetParam();
   const Topology topo(presets::A100(2, 4));
-  const Algorithm algo = algo_case.make(topo);
+  const Algorithm algo = entry.make(topo);
   CompileOptions options = DefaultCompileOptions(backend);
   options.strict_verify = true;
   const Result<PreparedPlan> prepared =
@@ -140,38 +82,37 @@ TEST_P(AnalyzerSoundness, StrictPrepareAccepts) {
 }
 
 std::string AnalyzerSoundnessName(
-    const ::testing::TestParamInfo<std::tuple<AnalysisCase, BackendKind>>&
+    const ::testing::TestParamInfo<std::tuple<CatalogEntry, BackendKind>>&
         info) {
   const auto& [a, b] = info.param;
-  return a.label + "_" + BackendName(b);
+  return std::string(a.name) + "_" + BackendName(b);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AnalyzerSoundness,
-    ::testing::Combine(::testing::ValuesIn(AlgorithmCases()),
+    ::testing::Combine(::testing::ValuesIn(Catalog()),
                        ::testing::Values(BackendKind::kResCCL,
                                          BackendKind::kMscclLike,
                                          BackendKind::kNcclLike)),
     AnalyzerSoundnessName);
 
 // The N-level composed plans go through the same lint: on a four-level
-// RailClos fabric every composed collective (default, all-ring, all-tree,
-// coarse-chunk) must be certified clean across the backend personalities
-// and back the certificate with a terminating simulation. These are the
+// RailClos fabric every composed catalog row plus the all-ring variant
+// must be certified clean across the backend personalities and back the
+// certificate with a terminating simulation. These are the
 // deepest dependency chains the composer can emit — exactly where a
 // missed hazard edge or rendezvous mismatch would hide.
 TEST(AnalyzerComposition, ComposedPlansAnalyzeCleanOnRailClos) {
   const Topology topo(presets::RailClos(8, 4, 2, 4));
   std::vector<std::pair<std::string, Algorithm>> cases;
-  cases.emplace_back("default", algorithms::ComposedAllReduce(topo));
-  cases.emplace_back("rs", algorithms::ComposedReduceScatter(topo));
-  cases.emplace_back("ag", algorithms::ComposedAllGather(topo));
+  for (const CatalogEntry& row : Catalog()) {
+    if (std::string_view(row.name).starts_with("hc_")) {
+      cases.emplace_back(row.name, row.make(topo));
+    }
+  }
   algorithms::CompositionSpec rings;
   rings.primitives.assign(4, algorithms::LevelPrimitive::kRing);
   cases.emplace_back("rings", algorithms::ComposedAllReduce(topo, rings));
-  algorithms::CompositionSpec coarse;
-  coarse.chunks = topo.gpus_per_node();
-  cases.emplace_back("coarse", algorithms::ComposedAllReduce(topo, coarse));
 
   for (const auto& [label, algo] : cases) {
     for (const BackendKind backend :

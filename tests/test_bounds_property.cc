@@ -11,7 +11,8 @@
 #include <tuple>
 #include <vector>
 
-#include "algo_cases.h"
+#include "algorithms/catalog.h"
+#include "algorithms/ring.h"
 #include "analysis/analyzer.h"
 #include "analysis/bounds.h"
 #include "analysis/perf_rules.h"
@@ -22,8 +23,8 @@
 namespace resccl {
 namespace {
 
-using tests::AlgoCase;
-using tests::AlgorithmCases;
+using algorithms::Catalog;
+using algorithms::CatalogEntry;
 using tests::JsonChecker;
 
 struct TopoCase {
@@ -45,16 +46,17 @@ std::vector<TopoCase> TopoCases() {
 
 class BoundSoundness
     : public ::testing::TestWithParam<
-          std::tuple<AlgoCase, BackendKind, TopoCase>> {};
+          std::tuple<CatalogEntry, BackendKind, TopoCase>> {};
 
-// 20 algorithms × 3 backends × 3 topologies: the simulator may never beat
-// the bound. Combinations an algorithm cannot prepare for (a composition
-// that needs hierarchy a flat node lacks, say) are skipped — preparability
-// is test_collective_property's job, not this suite's.
+// Catalog × 3 backends × 3 topologies: the simulator may never beat the
+// bound. Combinations an algorithm does not apply to or cannot prepare for
+// (a composition that needs hierarchy a flat node lacks, say) are skipped —
+// preparability is test_collective_property's job, not this suite's.
 TEST_P(BoundSoundness, CleanRunNeverBeatsLowerBound) {
-  const auto& [algo_case, backend, topo_case] = GetParam();
+  const auto& [entry, backend, topo_case] = GetParam();
   const Topology topo(topo_case.make());
-  const Algorithm algo = algo_case.make(topo);
+  if (!entry.applies(topo)) GTEST_SKIP() << "does not apply here";
+  const Algorithm algo = entry.make(topo);
   const Result<PreparedPlan> prepared = Prepare(algo, topo, backend);
   if (!prepared.ok()) {
     GTEST_SKIP() << "not preparable here: " << prepared.status().ToString();
@@ -87,15 +89,15 @@ TEST_P(BoundSoundness, CleanRunNeverBeatsLowerBound) {
 }
 
 std::string BoundSoundnessName(
-    const ::testing::TestParamInfo<std::tuple<AlgoCase, BackendKind, TopoCase>>&
-        info) {
+    const ::testing::TestParamInfo<
+        std::tuple<CatalogEntry, BackendKind, TopoCase>>& info) {
   const auto& [a, b, t] = info.param;
-  return a.label + "_" + BackendName(b) + "_" + t.label;
+  return std::string(a.name) + "_" + BackendName(b) + "_" + t.label;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BoundSoundness,
-    ::testing::Combine(::testing::ValuesIn(AlgorithmCases()),
+    ::testing::Combine(::testing::ValuesIn(Catalog()),
                        ::testing::Values(BackendKind::kResCCL,
                                          BackendKind::kMscclLike,
                                          BackendKind::kNcclLike),
@@ -288,14 +290,14 @@ PerfOptions SmallLaunch() {
 // the walk applies whenever the rank counts agree.
 TEST(PerfRules, FindingsAreAdvisoryAndFloorRespectsBound) {
   const Topology topo(presets::A100(2, 4));
-  for (const AlgoCase& algo_case : AlgorithmCases()) {
-    const Algorithm algo = algo_case.make(topo);
+  for (const CatalogEntry& entry : Catalog()) {
+    const Algorithm algo = entry.make(topo);
     const Result<PreparedPlan> prepared =
         Prepare(algo, topo, BackendKind::kResCCL);
-    ASSERT_TRUE(prepared.ok()) << algo_case.label;
+    ASSERT_TRUE(prepared.ok()) << entry.name;
     const PerfReport report =
         AnalyzePlanPerf(prepared.value()->plan, topo, SmallLaunch());
-    SCOPED_TRACE(algo_case.label);
+    SCOPED_TRACE(entry.name);
     ASSERT_TRUE(report.applicable);
     for (const Diagnostic& d : report.diagnostics) {
       EXPECT_EQ(d.severity, DiagSeverity::kAdvice) << d.rule_id;

@@ -3,12 +3,9 @@
 // sane. This is the library's main end-to-end correctness net.
 #include <gtest/gtest.h>
 
+#include "algorithms/catalog.h"
 #include "algorithms/composition.h"
 #include "algorithms/hierarchical.h"
-#include "algorithms/recursive.h"
-#include "algorithms/ring.h"
-#include "algorithms/synthesized.h"
-#include "algorithms/tree.h"
 #include "lang/eval.h"
 #include "runtime/backend.h"
 #include "topology/topology.h"
@@ -16,98 +13,29 @@
 namespace resccl {
 namespace {
 
-using AlgorithmFactory = Algorithm (*)(const Topology&);
+using algorithms::CatalogEntry;
 
-Algorithm MakeRingAg(const Topology& t) {
-  return algorithms::RingAllGather(t.nranks());
-}
-Algorithm MakeRingRs(const Topology& t) {
-  return algorithms::RingReduceScatter(t.nranks());
-}
-Algorithm MakeRingAr(const Topology& t) {
-  return algorithms::RingAllReduce(t.nranks());
-}
-Algorithm MakeTreeAr(const Topology& t) {
-  return algorithms::DoubleBinaryTreeAllReduce(t.nranks());
-}
-Algorithm MakeRhdAr(const Topology& t) {
-  return algorithms::RecursiveHalvingDoublingAllReduce(t.nranks());
-}
-Algorithm MakeRdAg(const Topology& t) {
-  return algorithms::RecursiveDoublingAllGather(t.nranks());
-}
-Algorithm MakeOneShotAg(const Topology& t) {
-  return algorithms::OneShotAllGather(t.nranks());
-}
-Algorithm MakeMcRingAg(const Topology& t) {
-  return algorithms::MultiChannelRingAllGather(t, t.CommChannels());
-}
-Algorithm MakeMcRingRs(const Topology& t) {
-  return algorithms::MultiChannelRingReduceScatter(t, t.CommChannels());
-}
-Algorithm MakeMcRingAr(const Topology& t) {
-  return algorithms::MultiChannelRingAllReduce(t, t.CommChannels());
-}
-Algorithm MakeComposedAg(const Topology& t) {
-  return algorithms::ComposedAllGather(t);
-}
-Algorithm MakeComposedRs(const Topology& t) {
-  return algorithms::ComposedReduceScatter(t);
-}
-Algorithm MakeComposedAr(const Topology& t) {
-  return algorithms::ComposedAllReduce(t);
-}
-// Force every level onto one primitive so each primitive's reduce and
-// broadcast emitters get exercised at every scope, not just its default.
-Algorithm MakeComposedArRings(const Topology& t) {
+// Composed AllReduce with every level forced onto one primitive, so each
+// primitive's reduce and broadcast emitters get exercised at every scope,
+// not just its default.
+template <algorithms::LevelPrimitive kPrimitive>
+Algorithm ForcedComposedAllReduce(const Topology& t) {
   algorithms::CompositionSpec spec;
-  spec.primitives.assign(4, algorithms::LevelPrimitive::kRing);
-  return algorithms::ComposedAllReduce(t, spec);
-}
-Algorithm MakeComposedArTrees(const Topology& t) {
-  algorithms::CompositionSpec spec;
-  spec.primitives.assign(4, algorithms::LevelPrimitive::kTree);
-  return algorithms::ComposedAllReduce(t, spec);
-}
-Algorithm MakeComposedArCoarse(const Topology& t) {
-  // Coarse striping: one chunk class per local GPU (the thousand-rank
-  // regime's transfer-count lever).
-  algorithms::CompositionSpec spec;
-  spec.chunks = t.gpus_per_node();
+  spec.primitives.assign(4, kPrimitive);
   return algorithms::ComposedAllReduce(t, spec);
 }
 
-struct PropertyCase {
-  std::string label;
-  AlgorithmFactory make;
-};
-
-std::vector<PropertyCase> AlgorithmCases() {
-  return {
-      {"ring_ag", MakeRingAg},
-      {"ring_rs", MakeRingRs},
-      {"ring_ar", MakeRingAr},
-      {"mc_ring_ag", MakeMcRingAg},
-      {"mc_ring_rs", MakeMcRingRs},
-      {"mc_ring_ar", MakeMcRingAr},
-      {"tree_ar", MakeTreeAr},
-      {"rhd_ar", MakeRhdAr},
-      {"rd_ag", MakeRdAg},
-      {"oneshot_ag", MakeOneShotAg},
-      {"hm_ag", algorithms::HierarchicalMeshAllGather},
-      {"hm_rs", algorithms::HierarchicalMeshReduceScatter},
-      {"hm_ar", algorithms::HierarchicalMeshAllReduce},
-      {"hc_ag", MakeComposedAg},
-      {"hc_rs", MakeComposedRs},
-      {"hc_ar", MakeComposedAr},
-      {"hc_ar_rings", MakeComposedArRings},
-      {"hc_ar_trees", MakeComposedArTrees},
-      {"hc_ar_coarse", MakeComposedArCoarse},
-      {"taccl_ag", algorithms::TacclLikeAllGather},
-      {"taccl_ar", algorithms::TacclLikeAllReduce},
-      {"teccl_ag", algorithms::TecclLikeAllGather},
-      {"teccl_ar", algorithms::TecclLikeAllReduce},
-  };
+// The algorithm catalog plus the two forced-primitive compositions.
+std::vector<CatalogEntry> AlgorithmCases() {
+  std::vector<CatalogEntry> cases(algorithms::Catalog().begin(),
+                                  algorithms::Catalog().end());
+  cases.push_back({"hc_allreduce_rings", CollectiveOp::kAllReduce,
+                   ForcedComposedAllReduce<algorithms::LevelPrimitive::kRing>,
+                   algorithms::ComposableTopology});
+  cases.push_back({"hc_allreduce_trees", CollectiveOp::kAllReduce,
+                   ForcedComposedAllReduce<algorithms::LevelPrimitive::kTree>,
+                   algorithms::ComposableTopology});
+  return cases;
 }
 
 struct TopoCase {
@@ -122,12 +50,13 @@ std::vector<TopoCase> TopoCases() {
 
 class CollectiveProperty
     : public ::testing::TestWithParam<
-          std::tuple<PropertyCase, TopoCase, BackendKind>> {};
+          std::tuple<CatalogEntry, TopoCase, BackendKind>> {};
 
 TEST_P(CollectiveProperty, ExecutesCorrectly) {
-  const auto& [algo_case, topo_case, backend] = GetParam();
+  const auto& [entry, topo_case, backend] = GetParam();
   const Topology topo(presets::A100(topo_case.nodes, topo_case.gpus));
-  const Algorithm algo = algo_case.make(topo);
+  if (!entry.applies(topo)) GTEST_SKIP() << "does not apply here";
+  const Algorithm algo = entry.make(topo);
   ASSERT_TRUE(algo.Validate().ok());
 
   RunRequest request;
@@ -157,9 +86,9 @@ TEST_P(CollectiveProperty, ExecutesCorrectly) {
 
 std::string PropertyName(
     const ::testing::TestParamInfo<
-        std::tuple<PropertyCase, TopoCase, BackendKind>>& info) {
+        std::tuple<CatalogEntry, TopoCase, BackendKind>>& info) {
   const auto& [a, t, b] = info.param;
-  return a.label + "_" + t.label + "_" + BackendName(b);
+  return std::string(a.name) + "_" + t.label + "_" + BackendName(b);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -9,8 +9,8 @@
 
 #include <cstdlib>
 
+#include "algorithms/catalog.h"
 #include "algorithms/hierarchical.h"
-#include "algo_cases.h"
 #include "runtime/backend.h"
 #include "sim/faults.h"
 #include "topology/topology.h"
@@ -18,8 +18,8 @@
 namespace resccl {
 namespace {
 
-using tests::AlgoCase;
-using tests::AlgorithmCases;
+using algorithms::Catalog;
+using algorithms::CatalogEntry;
 
 std::uint64_t BaseSeed() {
   const char* env = std::getenv("RESCCL_FAULT_SEED");
@@ -53,14 +53,14 @@ void ExpectIdenticalReports(const SimRunReport& a, const SimRunReport& b) {
 }
 
 class FaultProperty
-    : public ::testing::TestWithParam<std::tuple<AlgoCase, BackendKind>> {};
+    : public ::testing::TestWithParam<std::tuple<CatalogEntry, BackendKind>> {};
 
-// Four seeded fault plans per (algorithm, backend) on one prepared plan:
-// 17 algorithms x 3 backends x 4 seeds = 204 faulted executions.
+// Four seeded fault plans per (catalog algorithm, backend) on one prepared
+// plan.
 TEST_P(FaultProperty, FaultsPerturbTimingNeverData) {
-  const auto& [algo_case, backend] = GetParam();
+  const auto& [entry, backend] = GetParam();
   const Topology topo(presets::A100(2, 4));
-  const Algorithm algo = algo_case.make(topo);
+  const Algorithm algo = entry.make(topo);
   const PreparedPlan prepared = Prepare(algo, topo, backend).value();
 
   RunRequest request;
@@ -113,14 +113,15 @@ TEST_P(FaultProperty, FaultsPerturbTimingNeverData) {
 }
 
 std::string FaultPropertyName(
-    const ::testing::TestParamInfo<std::tuple<AlgoCase, BackendKind>>& info) {
+    const ::testing::TestParamInfo<std::tuple<CatalogEntry, BackendKind>>&
+        info) {
   const auto& [a, b] = info.param;
-  return a.label + "_" + BackendName(b);
+  return std::string(a.name) + "_" + BackendName(b);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, FaultProperty,
-    ::testing::Combine(::testing::ValuesIn(AlgorithmCases()),
+    ::testing::Combine(::testing::ValuesIn(Catalog()),
                        ::testing::Values(BackendKind::kResCCL,
                                          BackendKind::kMscclLike,
                                          BackendKind::kNcclLike)),

@@ -13,10 +13,7 @@
 //     on every completion time to 1e-9 relative tolerance (the deferred
 //     flush reassociates fp sums — see fluid.h — so agreement is fp-tight,
 //     not bit-exact), each mode on its own must be bit-identical across
-//     repeat runs, and DebugValidate must hold mid-run. Building with
-//     -DRESCCL_FLUID_ORACLE=ON (the ASan CI job) additionally cross-checks
-//     every rate walk against the pre-SoA oracle layout from inside
-//     CurrentRate.
+//     repeat runs, and DebugValidate must hold mid-run.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>

@@ -12,7 +12,7 @@
 #include <string>
 #include <tuple>
 
-#include "algo_cases.h"
+#include "algorithms/catalog.h"
 #include "obs/critical_path.h"
 #include "obs/timeline.h"
 #include "runtime/backend.h"
@@ -22,8 +22,8 @@
 namespace resccl {
 namespace {
 
-using tests::AlgoCase;
-using tests::AlgorithmCases;
+using algorithms::Catalog;
+using algorithms::CatalogEntry;
 
 void ExpectClose(const char* what, double got, double want, double tol) {
   EXPECT_LE(std::abs(got - want), tol * std::max(1.0, std::abs(want)))
@@ -31,12 +31,12 @@ void ExpectClose(const char* what, double got, double want, double tol) {
 }
 
 class ObsProperty
-    : public ::testing::TestWithParam<std::tuple<AlgoCase, BackendKind>> {};
+    : public ::testing::TestWithParam<std::tuple<CatalogEntry, BackendKind>> {};
 
 TEST_P(ObsProperty, BucketsTileMakespanAndTimelinesMatchUsage) {
-  const auto& [algo_case, backend] = GetParam();
+  const auto& [entry, backend] = GetParam();
   const Topology topo(presets::A100(2, 4));
-  const Algorithm algo = algo_case.make(topo);
+  const Algorithm algo = entry.make(topo);
   const PreparedPlan prepared = Prepare(algo, topo, backend).value();
 
   RunRequest request;
@@ -106,14 +106,15 @@ TEST_P(ObsProperty, BucketsTileMakespanAndTimelinesMatchUsage) {
 }
 
 std::string ObsPropertyName(
-    const ::testing::TestParamInfo<std::tuple<AlgoCase, BackendKind>>& info) {
+    const ::testing::TestParamInfo<std::tuple<CatalogEntry, BackendKind>>&
+        info) {
   const auto& [a, b] = info.param;
-  return a.label + "_" + BackendName(b);
+  return std::string(a.name) + "_" + BackendName(b);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ObsProperty,
-    ::testing::Combine(::testing::ValuesIn(AlgorithmCases()),
+    ::testing::Combine(::testing::ValuesIn(Catalog()),
                        ::testing::Values(BackendKind::kResCCL,
                                          BackendKind::kMscclLike,
                                          BackendKind::kNcclLike)),

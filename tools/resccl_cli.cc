@@ -1,7 +1,7 @@
 // resccl — command-line front end to the library.
 //
 //   resccl list
-//       Show the built-in algorithm registry and topology presets.
+//       Show the algorithm catalog and topology presets.
 //   resccl run --algo hm_allreduce --topo a100 --nodes 2 --gpus 8
 //              [--backend resccl|msccl|nccl] [--buffer-mb N] [--chunk-kb N]
 //              [--protocol simple|ll|ll128|auto] [--verify] [--trace out.json]
@@ -45,19 +45,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "algorithms/hierarchical.h"
-#include "algorithms/recursive.h"
-#include "algorithms/ring.h"
-#include "algorithms/rooted.h"
-#include "algorithms/synthesized.h"
-#include "algorithms/tree.h"
+#include "algorithms/catalog.h"
 #include "analysis/analyzer.h"
 #include "analysis/bounds.h"
 #include "analysis/perf_rules.h"
@@ -79,63 +73,6 @@
 namespace {
 
 using namespace resccl;
-
-using AlgoFactory = std::function<Algorithm(const Topology&)>;
-
-const std::map<std::string, AlgoFactory>& Registry() {
-  static const std::map<std::string, AlgoFactory> kRegistry = {
-      {"ring_allgather",
-       [](const Topology& t) { return algorithms::RingAllGather(t.nranks()); }},
-      {"ring_reducescatter",
-       [](const Topology& t) {
-         return algorithms::RingReduceScatter(t.nranks());
-       }},
-      {"ring_allreduce",
-       [](const Topology& t) { return algorithms::RingAllReduce(t.nranks()); }},
-      {"mc_ring_allgather",
-       [](const Topology& t) {
-         return algorithms::MultiChannelRingAllGather(t,
-                                                      t.spec().nics_per_node);
-       }},
-      {"mc_ring_allreduce",
-       [](const Topology& t) {
-         return algorithms::MultiChannelRingAllReduce(t,
-                                                      t.spec().nics_per_node);
-       }},
-      {"hm_allgather", algorithms::HierarchicalMeshAllGather},
-      {"hm_reducescatter", algorithms::HierarchicalMeshReduceScatter},
-      {"hm_allreduce", algorithms::HierarchicalMeshAllReduce},
-      {"tree_allreduce",
-       [](const Topology& t) {
-         return algorithms::DoubleBinaryTreeAllReduce(t.nranks());
-       }},
-      {"rhd_allreduce",
-       [](const Topology& t) {
-         return algorithms::RecursiveHalvingDoublingAllReduce(t.nranks());
-       }},
-      {"rd_allgather",
-       [](const Topology& t) {
-         return algorithms::RecursiveDoublingAllGather(t.nranks());
-       }},
-      {"oneshot_allgather",
-       [](const Topology& t) {
-         return algorithms::OneShotAllGather(t.nranks());
-       }},
-      {"chain_broadcast",
-       [](const Topology& t) { return algorithms::ChainBroadcast(t.nranks()); }},
-      {"chain_reduce",
-       [](const Topology& t) { return algorithms::ChainReduce(t.nranks()); }},
-      {"binomial_broadcast",
-       [](const Topology& t) {
-         return algorithms::BinomialTreeBroadcast(t.nranks());
-       }},
-      {"taccl_allgather", algorithms::TacclLikeAllGather},
-      {"taccl_allreduce", algorithms::TacclLikeAllReduce},
-      {"teccl_allgather", algorithms::TecclLikeAllGather},
-      {"teccl_allreduce", algorithms::TecclLikeAllReduce},
-  };
-  return kRegistry;
-}
 
 struct Args {
   std::map<std::string, std::string> options;
@@ -248,21 +185,25 @@ Algorithm LoadAlgorithm(const Args& args, const Topology& topo) {
     return std::move(algo).value();
   }
   const std::string name = args.Get("algo", "hm_allreduce");
-  const auto it = Registry().find(name);
-  if (it == Registry().end()) {
+  const algorithms::CatalogEntry* row = algorithms::FindAlgorithm(name);
+  if (row == nullptr) {
     std::fprintf(stderr, "unknown --algo '%s'; try `resccl list`\n",
                  name.c_str());
     std::exit(2);
   }
-  return it->second(topo);
+  if (!row->applies(topo)) {
+    std::fprintf(stderr, "--algo '%s' does not apply to this topology\n",
+                 name.c_str());
+    std::exit(2);
+  }
+  return row->make(topo);
 }
 
 int CmdList(const Args& args) {
   (void)args;
   std::printf("algorithms:\n");
-  for (const auto& [name, factory] : Registry()) {
-    (void)factory;
-    std::printf("  %s\n", name.c_str());
+  for (const algorithms::CatalogEntry& row : algorithms::Catalog()) {
+    std::printf("  %s\n", row.name);
   }
   std::printf("topologies: a100 (default), v100, h100 "
               "(--nodes N --gpus G)\n");
